@@ -1030,12 +1030,14 @@ pub fn serve(args: &ParsedArgs) -> Result<String, CliError> {
     let mut out = summary.report.to_metrics_text();
     let _ = writeln!(
         out,
-        "served {} ops over {} connection(s); history retained {} (dropped {}), {} dump(s) written",
+        "served {} ops over {} connection(s) ({} refused); history retained {} (dropped {}), {} dump(s) written, {} failed",
         summary.report.total.ops,
         summary.connections,
+        summary.refused_connections,
         summary.operations.len(),
         summary.history_dropped,
         summary.dumps_written,
+        summary.dump_failures,
     );
     if summary.report.breach_free() {
         Ok(out)

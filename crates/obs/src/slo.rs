@@ -154,6 +154,23 @@ impl SloWindow {
             self.magnitude_max = self.magnitude_max.max(magnitude);
         }
     }
+
+    /// `n` operations with one sojourn whose violation magnitudes run
+    /// `top, top - 1, ...` down to 0: consecutive values of one batch
+    /// (see [`ViolationTracker::observe_interval`]). Identical to `n`
+    /// calls of `record`.
+    fn record_run(&mut self, top: u64, n: u64, sojourn_ns: u64) {
+        self.ops += n;
+        self.latency.record_n(sojourn_ns, n);
+        let violations = top.min(n);
+        if violations > 0 {
+            self.violations += violations;
+            // top + (top - 1) + ... + (top - violations + 1)
+            let (v, t) = (u128::from(violations), u128::from(top));
+            self.magnitude_total += (v * t - v * (v - 1) / 2) as u64;
+            self.magnitude_max = self.magnitude_max.max(top);
+        }
+    }
 }
 
 /// Serializable snapshot of a service's SLO state.
@@ -266,12 +283,14 @@ impl SloReport {
 ///
 /// Feed order **must** be completion (end-tick) order — a service
 /// guarantees this by assigning the end tick and calling [`record`]
-/// inside one critical section. Under that contract the per-window
+/// (or [`record_batch`], for the values of one batch draw) inside one
+/// critical section. Under that contract the per-window
 /// violation counts are *exactly* the offline Definition 2.4 sweep's,
 /// window by window (the integration suite in `cnet-serve` replays
 /// recorded histories to assert this).
 ///
 /// [`record`]: SloEvaluator::record
+/// [`record_batch`]: SloEvaluator::record_batch
 #[derive(Debug, Clone)]
 pub struct SloEvaluator {
     policy: SloPolicy,
@@ -334,6 +353,51 @@ impl SloEvaluator {
         magnitude
     }
 
+    /// Records one batch: `k` operations that share the bracket
+    /// `[start, end]` and drew the values `base..base + k`. Returns the
+    /// violation magnitude of the first value; value `base + j`
+    /// violates by that minus `j`, while positive.
+    ///
+    /// The result is identical to `k` calls of [`record`] in value
+    /// order — windows, breach onsets, totals and latency histograms
+    /// alike — where every call but the last passes
+    /// `min(min_pending_start, start)` as its retire bound. The batch
+    /// is graded once ([`ViolationTracker::observe_interval`]), split
+    /// at `window_ops` boundaries, and retired once at the end, so the
+    /// cost is O(1 + violating values + windows closed) instead of
+    /// O(k).
+    ///
+    /// [`record`]: SloEvaluator::record
+    #[allow(clippy::too_many_arguments)]
+    pub fn record_batch(
+        &mut self,
+        start: u64,
+        end: u64,
+        base: u64,
+        k: u64,
+        sojourn_ns: u64,
+        min_pending_start: u64,
+        now_ms: u64,
+    ) -> u64 {
+        if k == 0 {
+            return 0;
+        }
+        let top = self.tracker.observe_interval(start, end, base, k);
+        self.tracker.retire(min_pending_start);
+        self.total.record_run(top, k, sojourn_ns);
+        let mut fed = 0;
+        while fed < k {
+            let n = (k - fed).min(self.window_ops - self.current.ops);
+            self.current
+                .record_run(top.saturating_sub(fed), n, sojourn_ns);
+            fed += n;
+            if self.current.ops >= self.window_ops {
+                self.close_window(now_ms);
+            }
+        }
+        top
+    }
+
     fn close_window(&mut self, now_ms: u64) {
         let window = std::mem::take(&mut self.current);
         let breached = window.breaches(&self.policy);
@@ -362,6 +426,12 @@ impl SloEvaluator {
     #[must_use]
     pub fn ops(&self) -> u64 {
         self.total.ops
+    }
+
+    /// The violation tracker behind the windows.
+    #[must_use]
+    pub fn tracker(&self) -> &ViolationTracker {
+        &self.tracker
     }
 
     /// Entries the internal violation tracker currently retains —

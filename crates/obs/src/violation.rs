@@ -42,8 +42,10 @@ pub struct ViolationTracker {
     prefix_max: Vec<u64>,
     /// Max value over all retired operations.
     floor: u64,
-    /// Number of retired operations.
-    retired: u64,
+    /// Operations observed so far, retired or not. An interval entry
+    /// stands for many operations, so this is not derivable from the
+    /// entry count.
+    observed: u64,
     /// Lower bound promised for every future `observe` start — the
     /// largest `min_future_start` passed to `retire` so far.
     retire_frontier: u64,
@@ -67,25 +69,75 @@ impl ViolationTracker {
             "observe(start={start}) violates the retire({}) contract",
             self.retire_frontier
         );
-        // Definition 2.4: compare against operations that *finished*
-        // strictly before this one started. Retired operations all
-        // finished before `start` (retire's contract), so when the
-        // retained prefix is empty their max (`floor`) still applies;
-        // when it is not, `prefix_max` already folds `floor` in.
-        let k = self.ends.partition_point(|&e| e < start);
-        let finished_max = if k > 0 {
-            self.prefix_max[k - 1]
-        } else {
-            self.floor
-        };
-        let magnitude = finished_max.saturating_sub(value);
+        let magnitude = self.finished_max(start).saturating_sub(value);
         if magnitude > 0 {
             self.count += 1;
             self.magnitude.record(magnitude);
         }
+        self.insert(end, value);
+        self.observed += 1;
+        magnitude
+    }
 
-        // Insert keeping `ends` sorted; scan from the back because the
-        // stream is (nearly) completion-ordered.
+    /// Observes `k` completed operations that share one bracket
+    /// `[start, end]` and returned the values `base..base + k` — one
+    /// batch draw. Equivalent to `k` calls of [`observe`] with those
+    /// values, at the cost of one.
+    ///
+    /// Definition 2.4 only compares an operation against operations
+    /// that finished strictly before it started, and `start <= end`,
+    /// so no value of the batch precedes another: all `k` see the same
+    /// finished maximum `F`, and value `base + j` violates by
+    /// `F - base - j` while that is positive. For every later
+    /// operation the batch finished at `end` holding at most
+    /// `base + k - 1`, so one entry with that value stands for all
+    /// `k`. Returns the magnitude of the first value, `F - base`
+    /// (saturating at 0); only the violating values are recorded one
+    /// by one.
+    ///
+    /// [`observe`]: ViolationTracker::observe
+    pub fn observe_interval(&mut self, start: u64, end: u64, base: u64, k: u64) -> u64 {
+        debug_assert!(
+            start >= self.retire_frontier,
+            "observe_interval(start={start}) violates the retire({}) contract",
+            self.retire_frontier
+        );
+        debug_assert!(
+            start <= end,
+            "interval [{start}, {end}] ends before it starts"
+        );
+        if k == 0 {
+            return 0;
+        }
+        let top = self.finished_max(start).saturating_sub(base);
+        let violating = top.min(k);
+        for j in 0..violating {
+            self.magnitude.record(top - j);
+        }
+        self.count += violating;
+        self.insert(end, base + (k - 1));
+        self.observed += k;
+        top
+    }
+
+    /// Max value over the operations that finished strictly before
+    /// `start`. Retired operations all finished before `start`
+    /// (retire's contract), so when the retained prefix is empty their
+    /// max (`floor`) still applies; when it is not, `prefix_max`
+    /// already folds `floor` in.
+    fn finished_max(&self, start: u64) -> u64 {
+        let k = self.ends.partition_point(|&e| e < start);
+        if k > 0 {
+            self.prefix_max[k - 1]
+        } else {
+            self.floor
+        }
+    }
+
+    /// Inserts a finished `(end, value)` entry, keeping `ends` sorted;
+    /// scans from the back because the stream is (nearly)
+    /// completion-ordered.
+    fn insert(&mut self, end: u64, value: u64) {
         let mut pos = self.ends.len();
         while pos > 0 && self.ends[pos - 1] > end {
             pos -= 1;
@@ -102,7 +154,6 @@ impl ViolationTracker {
             running = running.max(self.values[i]);
             self.prefix_max[i] = running;
         }
-        magnitude
     }
 
     /// Number of non-linearizable operations observed.
@@ -145,16 +196,19 @@ impl ViolationTracker {
         self.ends.drain(..k);
         self.values.drain(..k);
         self.prefix_max.drain(..k);
-        self.retired += k as u64;
     }
 
     /// Operations observed so far (including retired ones).
     #[must_use]
     pub fn observed(&self) -> usize {
-        self.retired as usize + self.ends.len()
+        self.observed as usize
     }
 
-    /// Operations currently held in memory (observed minus retired).
+    /// Entries currently held in memory. One entry stands for one
+    /// [`observe`] call or one whole [`observe_interval`] batch.
+    ///
+    /// [`observe`]: ViolationTracker::observe
+    /// [`observe_interval`]: ViolationTracker::observe_interval
     #[must_use]
     pub fn retained(&self) -> usize {
         self.ends.len()

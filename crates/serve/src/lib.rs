@@ -26,6 +26,7 @@
 
 pub mod client;
 pub mod drive;
+mod history;
 pub mod proto;
 pub mod server;
 pub mod signal;

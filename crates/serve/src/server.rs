@@ -30,7 +30,6 @@
 //! snapshot, flush the final [`RunRecord`] dump, and unlink the
 //! socket. Snapshot before socket teardown, per the service contract.
 
-use std::collections::VecDeque;
 use std::io;
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::{Path, PathBuf};
@@ -47,6 +46,7 @@ use cnet_proteus::{RunStats, Workload};
 use cnet_timing::Operation;
 use cnet_topology::{OutputCounts, Topology};
 
+use crate::history::History;
 use crate::proto::{self, Request, Response, MAX_BATCH};
 use crate::signal;
 
@@ -106,34 +106,12 @@ impl ServeConfig {
     }
 }
 
-/// The per-completion record kept for offline replay: the operation
-/// plus the connection that performed it (the "processor" for
-/// program-order purposes).
-#[derive(Debug, Clone)]
-struct HistoryEntry {
-    op: Operation,
-    conn: usize,
-}
-
 /// State guarded by one lock: the evaluator fed in end order, and the
 /// bounded history ring behind it.
 #[derive(Debug)]
 struct SloState {
     evaluator: SloEvaluator,
-    history: VecDeque<HistoryEntry>,
-    history_cap: usize,
-    history_dropped: u64,
-    completions: u64,
-}
-
-impl SloState {
-    fn push_history(&mut self, op: Operation, conn: usize) {
-        if self.history.len() == self.history_cap {
-            self.history.pop_front();
-            self.history_dropped += 1;
-        }
-        self.history.push_back(HistoryEntry { op, conn });
-    }
+    history: History,
 }
 
 /// Shared server state: the counter, the logical clock, and the SLO
@@ -161,7 +139,9 @@ impl Core {
     /// The whole operation: reserve `[base, base + k)` with one
     /// traversal, bracketed by the logical clock, feeding the SLO
     /// evaluator and the history ring inside the completion critical
-    /// section (this is what guarantees end-order feeding).
+    /// section (this is what guarantees end-order feeding). The `k`
+    /// values share one bracket, so both take the batch as one
+    /// interval: O(1) per request, not per value.
     fn draw(&self, conn: usize, k: u64, as_batch: bool) -> Response {
         let input = conn % self.counter.input_width();
         let service_start = Instant::now();
@@ -170,34 +150,10 @@ impl Core {
         let end = self.driver.complete(start, |end, min_pending_start| {
             let sojourn_ns = u64::try_from(service_start.elapsed().as_nanos()).unwrap_or(u64::MAX);
             let now_ms = self.uptime_ms();
-            let width = self.counter.width() as u64;
             let mut s = self.slo.lock().expect("slo lock poisoned");
-            for j in 0..k {
-                let value = base + j;
-                // the batch's remaining values still carry this same
-                // `start`, so the tracker may not retire past it until
-                // the last sibling has been fed
-                let retire_bound = if j + 1 == k {
-                    min_pending_start
-                } else {
-                    min_pending_start.min(start)
-                };
-                s.evaluator
-                    .record(start, end, value, sojourn_ns, retire_bound, now_ms);
-                let token = usize::try_from(s.completions).unwrap_or(usize::MAX);
-                s.completions += 1;
-                s.push_history(
-                    Operation {
-                        token,
-                        input,
-                        start,
-                        end,
-                        counter: (value % width) as usize,
-                        value,
-                    },
-                    conn,
-                );
-            }
+            s.evaluator
+                .record_batch(start, end, base, k, sojourn_ns, min_pending_start, now_ms);
+            s.history.push(start, end, base, k, conn);
             end
         });
         if as_batch {
@@ -262,10 +218,7 @@ impl Core {
     /// every completion since the service started.
     fn dump_record(&self) -> RunRecord {
         let report = self.snapshot();
-        let (operations, completed_by): (Vec<Operation>, Vec<usize>) = {
-            let s = self.slo.lock().expect("slo lock poisoned");
-            s.history.iter().map(|e| (e.op, e.conn)).unzip()
-        };
+        let (operations, completed_by) = self.operations();
         let nonlinearizable = cnet_timing::linearizability::count_nonlinearizable(&operations);
         let total_ops = operations.len();
         let stats = RunStats {
@@ -301,6 +254,13 @@ impl Core {
         record
     }
 
+    /// The retained history, one [`Operation`] per value.
+    fn operations(&self) -> (Vec<Operation>, Vec<usize>) {
+        let s = self.slo.lock().expect("slo lock poisoned");
+        s.history
+            .operations(self.counter.input_width(), self.counter.width())
+    }
+
     /// Writes the dump atomically (temp file + rename) so a reader —
     /// the soak CI's `test -s`, a human's `jq` — never sees a torn
     /// JSON document.
@@ -327,8 +287,14 @@ pub struct ServeSummary {
     pub history_dropped: u64,
     /// Connections accepted over the service's lifetime.
     pub connections: usize,
+    /// Connections answered with an `Err` and dropped because their
+    /// thread could not be spawned.
+    pub refused_connections: u64,
     /// Periodic + final dumps written.
     pub dumps_written: u64,
+    /// Periodic + final dumps that failed to write (the service kept
+    /// running through them).
+    pub dump_failures: u64,
 }
 
 /// A running daemon; dropping the handle does **not** stop it — call
@@ -382,7 +348,9 @@ impl CounterServer {
     /// # Errors
     ///
     /// Returns the bind error (after removing a stale socket file, a
-    /// failure here means the path is genuinely unusable).
+    /// failure here means the path is genuinely unusable), or the
+    /// failure to spawn the accept thread (the socket is unlinked
+    /// again).
     pub fn start(topology: &Topology, config: ServeConfig) -> io::Result<ServerHandle> {
         let _ = std::fs::remove_file(&config.socket); // stale socket from a dead server
         let listener = UnixListener::bind(&config.socket)?;
@@ -392,10 +360,7 @@ impl CounterServer {
             driver: ServiceDriver::new(),
             slo: Mutex::new(SloState {
                 evaluator: SloEvaluator::new(config.policy, config.window_ops),
-                history: VecDeque::new(),
-                history_cap: config.history_cap.max(1),
-                history_dropped: 0,
-                completions: 0,
+                history: History::new(config.history_cap),
             }),
             epoch: Instant::now(),
             closing: AtomicBool::new(false),
@@ -406,7 +371,9 @@ impl CounterServer {
         let accept_thread = thread::Builder::new()
             .name("cnet-serve-accept".to_string())
             .spawn(move || accept_loop(&accept_core, &listener))
-            .expect("spawn accept thread");
+            .inspect_err(|_| {
+                let _ = std::fs::remove_file(&core.config.socket);
+            })?;
         Ok(ServerHandle {
             core,
             accept_thread,
@@ -414,22 +381,38 @@ impl CounterServer {
     }
 }
 
+/// Dump outcomes over the service's lifetime. A failed dump (a full
+/// disk, a missing directory) is counted, never fatal: the service
+/// outlives its telemetry sink, and the final summary still reports.
+#[derive(Default)]
+struct Dumps {
+    written: u64,
+    failed: u64,
+}
+
+impl Dumps {
+    fn write(&mut self, core: &Core, path: &Path) {
+        match core.write_dump(path) {
+            Ok(()) => self.written += 1,
+            Err(_) => self.failed += 1,
+        }
+    }
+}
+
 fn accept_loop(core: &Arc<Core>, listener: &UnixListener) -> io::Result<ServeSummary> {
     let mut conns: Vec<thread::JoinHandle<()>> = Vec::new();
-    let mut dumps_written = 0u64;
+    let mut dumps = Dumps::default();
+    let mut refused = 0u64;
     let mut last_dump = Instant::now();
     while !core.closing() {
         match listener.accept() {
-            Ok((stream, _addr)) => {
-                let conn = core.conn_seq.fetch_add(1, Ordering::Relaxed);
-                let conn_core = Arc::clone(core);
-                let handle = thread::Builder::new()
-                    .name(format!("cnet-serve-conn-{conn}"))
-                    .spawn(move || serve_connection(&conn_core, conn, stream))
-                    .expect("spawn connection thread");
-                conns.push(handle);
-                conns.retain(|h| !h.is_finished());
-            }
+            Ok((stream, _addr)) => match spawn_connection(core, stream) {
+                Some(handle) => {
+                    conns.push(handle);
+                    conns.retain(|h| !h.is_finished());
+                }
+                None => refused += 1,
+            },
             Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
                 thread::sleep(POLL_INTERVAL);
             }
@@ -446,8 +429,7 @@ fn accept_loop(core: &Arc<Core>, listener: &UnixListener) -> io::Result<ServeSum
         }
         if let Some(path) = &core.config.dump_path {
             if last_dump.elapsed() >= core.config.dump_every {
-                core.write_dump(path)?;
-                dumps_written += 1;
+                dumps.write(core, path);
                 last_dump = Instant::now();
             }
         }
@@ -461,23 +443,53 @@ fn accept_loop(core: &Arc<Core>, listener: &UnixListener) -> io::Result<ServeSum
     // final snapshot + flush strictly before the socket disappears
     let report = core.snapshot();
     if let Some(path) = &core.config.dump_path {
-        core.write_dump(path)?;
-        dumps_written += 1;
+        dumps.write(core, path);
     }
     let _ = std::fs::remove_file(&core.config.socket);
-    let (operations, completed_by, history_dropped) = {
-        let s = core.slo.lock().expect("slo lock poisoned");
-        let (ops, by) = s.history.iter().map(|e| (e.op, e.conn)).unzip();
-        (ops, by, s.history_dropped)
-    };
+    let (operations, completed_by) = core.operations();
+    let history_dropped = core
+        .slo
+        .lock()
+        .expect("slo lock poisoned")
+        .history
+        .dropped();
     Ok(ServeSummary {
         report,
         operations,
         completed_by,
         history_dropped,
         connections: core.conn_seq.load(Ordering::Relaxed),
-        dumps_written,
+        refused_connections: refused,
+        dumps_written: dumps.written,
+        dump_failures: dumps.failed,
     })
+}
+
+/// Gives an accepted connection its own thread. When the thread cannot
+/// be spawned (the process is out of threads or memory) the client is
+/// told so with a typed `Err` reply and the stream is dropped; the
+/// accept loop and every other connection carry on.
+fn spawn_connection(core: &Arc<Core>, stream: UnixStream) -> Option<thread::JoinHandle<()>> {
+    let conn = core.conn_seq.fetch_add(1, Ordering::Relaxed);
+    // the spawn consumes `stream` even when it fails; keep a handle to
+    // answer on
+    let refusal = stream.try_clone();
+    let conn_core = Arc::clone(core);
+    match thread::Builder::new()
+        .name(format!("cnet-serve-conn-{conn}"))
+        .spawn(move || serve_connection(&conn_core, conn, stream))
+    {
+        Ok(handle) => Some(handle),
+        Err(e) => {
+            if let Ok(mut s) = refusal {
+                let refused = Response::Err {
+                    message: format!("server cannot take the connection: {e}"),
+                };
+                let _ = proto::write_response(&mut s, &refused);
+            }
+            None
+        }
+    }
 }
 
 /// One connection: decode frames, answer them, drain politely.

@@ -261,3 +261,94 @@ fn invalid_batches_are_rejected() {
     client.shutdown().unwrap();
     handle.wait().unwrap();
 }
+
+/// A history ring smaller than one batch, fed mixed batch sizes from
+/// one client (so completion order is request order): the summary
+/// holds exactly the last `history_cap` values with contiguous tokens,
+/// and dropped + retained accounts for every completion.
+#[test]
+fn history_ring_keeps_exactly_the_last_cap_values() {
+    const CAP: usize = 5;
+    let net = constructions::bitonic(4).unwrap();
+    let mut config = ServeConfig::new(socket_path("ring"));
+    config.history_cap = CAP;
+    config.window_ops = 4;
+    let socket = config.socket.clone();
+    let handle = CounterServer::start(&net, config).unwrap();
+
+    let mut client = ServeClient::connect(&socket).unwrap();
+    let mut drawn = Vec::new(); // (value, start, end) in completion order
+    for k in [7u32, 1, 2, 9, 1, 1, 3, 6, 2, 1, 12, 4] {
+        let d = if k == 1 {
+            client.next().unwrap()
+        } else {
+            client.next_batch(k).unwrap()
+        };
+        drawn.extend((d.base..d.base + u64::from(d.k)).map(|v| (v, d.start, d.end)));
+    }
+    client.shutdown().unwrap();
+    let summary = handle.wait().unwrap();
+
+    let ops = &summary.operations;
+    assert_eq!(summary.report.total.ops, drawn.len() as u64);
+    assert_eq!(ops.len(), CAP, "the ring holds at most history_cap values");
+    assert_eq!(summary.completed_by.len(), CAP);
+    assert_eq!(
+        summary.history_dropped + ops.len() as u64,
+        summary.report.total.ops
+    );
+    let tail = &drawn[drawn.len() - CAP..];
+    for (i, (o, &(value, start, end))) in ops.iter().zip(tail).enumerate() {
+        assert_eq!(
+            o.token as u64,
+            summary.history_dropped + i as u64,
+            "tokens are contiguous"
+        );
+        assert_eq!((o.value, o.start, o.end), (value, start, end), "op {i}");
+        assert_eq!(o.counter as u64, o.value % 4);
+    }
+    assert!(summary
+        .completed_by
+        .iter()
+        .all(|&c| c == summary.completed_by[0]));
+}
+
+/// Dumps into a directory that does not exist fail every time; the
+/// service must keep serving through them, drain, unlink its socket,
+/// and report the failures instead of dying.
+#[test]
+fn failed_dumps_are_counted_not_fatal() {
+    let net = constructions::bitonic(4).unwrap();
+    let mut config = ServeConfig::new(socket_path("nodump"));
+    let missing = std::env::temp_dir().join(format!(
+        "cnet-serve-missing-{}/never-created",
+        std::process::id()
+    ));
+    config.dump_path = Some(missing.join("dump.json"));
+    config.dump_every = Duration::from_millis(1);
+    let socket = config.socket.clone();
+    let handle = CounterServer::start(&net, config).unwrap();
+
+    let mut client = ServeClient::connect(&socket).unwrap();
+    let mut values = 0u64;
+    for _ in 0..10 {
+        values += u64::from(client.next_batch(3).unwrap().k);
+        // let the accept loop wake and attempt a periodic dump
+        std::thread::sleep(Duration::from_millis(40));
+    }
+    // a fresh connection after the failures is still served
+    let mut late = ServeClient::connect(&socket).unwrap();
+    assert_eq!(late.next().unwrap().base, values);
+    late.shutdown().unwrap();
+    let summary = handle.wait().unwrap();
+
+    assert_eq!(summary.report.total.ops, values + 1);
+    assert_eq!(summary.dumps_written, 0);
+    assert!(
+        summary.dump_failures >= 2,
+        "periodic and final dumps must be counted, got {}",
+        summary.dump_failures
+    );
+    assert!(!socket.exists(), "socket must be unlinked after drain");
+    assert!(!missing.exists());
+}
